@@ -21,7 +21,6 @@ from .kripke import (
     Vocabulary,
     disjoint_union,
     max_out_degree,
-    reachable_within,
 )
 from .formulas import (
     And,
@@ -74,7 +73,6 @@ from .wl import (
 )
 from .gfp import (
     PairRelation,
-    hartig_holds,
     phi_wl_fixpoint,
     phi_wl_step,
     stagewise_agreement,

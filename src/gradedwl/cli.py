@@ -18,8 +18,8 @@ from . import wl as wl_mod
 from .automaton import run as run_automaton
 from .errors import GradedWLError
 from .formats import parse_automaton, parse_model, serialize_model
-from .formulas import Disjunction, check, parse
-from .kripke import KripkeModel, PointedModel
+from .formulas import check, parse, print_formula
+from .kripke import KripkeModel, PointedModel, pointed_union
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -28,24 +28,20 @@ EXIT_INPUT = 3
 EXIT_BUDGET = 4
 
 
-def _load_model(path):
+def _read(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_model(fh.read())
+            return fh.read()
     except OSError as exc:
         raise GradedWLError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_model(path):
+    return parse_model(_read(path))
 
 
 def _load_automaton(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_automaton(fh.read())
-    except OSError as exc:
-        raise GradedWLError(f"cannot read {path}: {exc}") from exc
-
-
-def _pointed(model, point):
-    return PointedModel(model, point)
+    return parse_automaton(_read(path))
 
 
 def _symmetric_closure(model):
@@ -69,7 +65,7 @@ def _emit(args, text_lines, payload):
 def cmd_check(args):
     model = _load_model(args.model)
     formula = parse(args.formula, model.vocab)
-    verdict = check(_pointed(model, args.point), formula)
+    verdict = check(PointedModel(model, args.point), formula)
     _emit(args, ["true" if verdict else "false"], {"verdict": verdict})
     return EXIT_TRUE if verdict else EXIT_FALSE
 
@@ -77,7 +73,10 @@ def cmd_check(args):
 def _parse_width(spec, channels):
     levels = []
     for level in spec.split(";"):
-        entries = [int(x) for x in level.split(",")]
+        try:
+            entries = [int(x) for x in level.split(",")]
+        except ValueError:
+            raise GradedWLError(f"width level {level!r} must list integers") from None
         if len(entries) != channels:
             raise GradedWLError(
                 f"width level {level!r} needs {channels} entries"
@@ -88,7 +87,7 @@ def _parse_width(spec, channels):
 
 def cmd_type(args):
     model = _load_model(args.model)
-    pm = _pointed(model, args.point)
+    pm = PointedModel(model, args.point)
     if args.width is not None:
         t = typedesc.type_of_width(pm, _parse_width(args.width, model.vocab.channels))
     else:
@@ -96,8 +95,6 @@ def cmd_type(args):
     lines = [typedesc.serialize_type(t)]
     payload = {"type": typedesc.serialize_type(t), "depth": t.depth}
     if args.render:
-        from .formulas import print_formula
-
         rendered = print_formula(typedesc.render_type(t))
         lines.append(rendered)
         payload["formula"] = rendered
@@ -155,29 +152,34 @@ def cmd_distinguish(args):
     if args.symmetric:
         model_a = _symmetric_closure(model_a)
         model_b = _symmetric_closure(model_b)
-    pm1 = _pointed(model_a, args.point_a)
-    pm2 = _pointed(model_b, args.point_b)
+    pm1 = PointedModel(model_a, args.point_a)
+    pm2 = PointedModel(model_b, args.point_b)
     lines = []
     payload = {"oracle": args.oracle}
     verdicts = {}
-    if args.oracle in ("wl", "both"):
+    separated_at = None
+    # One disjoint union serves both oracles; the formula needs WL's
+    # separating round even when only the gfp verdict is reported.
+    if args.oracle == "gfp" and not args.formula:
+        union, a, b = pointed_union(pm1, pm2)
+    else:
         result = wl_mod.distinguish(pm1, pm2)
+        union, (a, b) = result.union, result.union_points
+        separated_at = result.separated_at
+    if args.oracle in ("wl", "both"):
         verdicts["wl"] = result.equivalent
         if result.equivalent:
             lines.append("equivalent")
         else:
-            lines.append(f"separated_at: {result.separated_at}")
-            payload["separated_at"] = result.separated_at
+            lines.append(f"separated_at: {separated_at}")
+            payload["separated_at"] = separated_at
     if args.oracle in ("gfp", "both"):
-        relation, stages = gfp_mod.phi_wl_fixpoint(
-            gfp_mod.disjoint_union(pm1.model, pm2.model)[0]
-        )
-        equivalent = gfp_mod.wl_equivalent_via_gfp(pm1, pm2)
-        verdicts["gfp"] = equivalent
+        relation, stages = gfp_mod.phi_wl_fixpoint(union)
+        verdicts["gfp"] = (a, b) in relation.pairs
+        if args.oracle == "gfp":
+            lines.append("equivalent" if verdicts["gfp"] else "separated")
         lines.append(f"stages: {stages}")
         payload["stages"] = stages
-        if args.oracle == "gfp":
-            lines.insert(0, "equivalent" if equivalent else "separated")
     payload["verdicts"] = verdicts
     if args.oracle == "both":
         agree = verdicts["wl"] == verdicts["gfp"]
@@ -185,10 +187,8 @@ def cmd_distinguish(args):
         payload["oracles_agree"] = agree
     equivalent = all(verdicts.values())
     payload["equivalent"] = equivalent
-    if args.formula and not equivalent:
-        from .formulas import print_formula
-
-        formula = wl_mod.distinguishing_formula(pm1, pm2)
+    if args.formula and separated_at is not None:
+        formula = typedesc.render_type(typedesc.full_type(pm1, separated_at))
         rendered = print_formula(formula)
         holds_a = check(pm1, formula)
         holds_b = check(pm2, formula)
@@ -205,7 +205,7 @@ def cmd_run(args):
     model = _load_model(args.model)
     if args.symmetric:
         model = _symmetric_closure(model)
-    result = run_automaton(spec, _pointed(model, args.point), args.max_rounds)
+    result = run_automaton(spec, PointedModel(model, args.point), args.max_rounds)
     if result.accepted:
         _emit(args, [f"accepted_at: {result.round}"],
               {"verdict": "accepted", "round": result.round})
@@ -367,7 +367,6 @@ def build_parser():
     p.add_argument("--automaton", help="automaton file (a2f)")
     p.add_argument("--props", type=_int_list, default=[])
     p.add_argument("--channels", type=int, default=1)
-    p.add_argument("--max-depth", type=int, default=2)
     p.add_argument("--max-degree", type=int, default=2)
     p.add_argument("--max-items", type=int)
     p.add_argument("--max-rounds", type=int, default=2)

@@ -110,13 +110,14 @@ def _parse_pattern(text, no):
         if body:
             for part in body.split(","):
                 part = part.strip()
-                if part.startswith("total="):
-                    total = int(part[len("total="):])
-                elif ">=" in part:
-                    name, k = part.split(">=")
-                    at_least.append((name.strip(), int(k)))
-                else:
-                    raise InputFormatError(f"bad pattern constraint {part!r}", line=no)
+                try:
+                    if part.startswith("total="):
+                        total = int(part[len("total="):])
+                    else:
+                        name, k = part.split(">=")
+                        at_least.append((name.strip(), int(k)))
+                except ValueError:
+                    raise InputFormatError(f"bad pattern constraint {part!r}", line=no) from None
         groups[alpha] = (tuple(at_least), total)
     return groups
 
@@ -201,9 +202,10 @@ def parse_automaton(text):
                 if not match:
                     raise InputFormatError("init subset looks like {p0,p1} or {}", line=no)
                 body = match.group(1).strip()
-                atoms = frozenset(
-                    int(tok.strip().lstrip("p")) for tok in body.split(",") if tok.strip()
-                )
+                atoms = frozenset(_ints(
+                    [tok.strip().lstrip("p") for tok in body.split(",") if tok.strip()],
+                    no, "proposition indices",
+                ))
                 init_rows[atoms] = target
         elif keyword == "rule":
             match = re.match(r"^(\S+)\s+(.*?)\s*->\s*(\S+)$", rest)
@@ -224,12 +226,23 @@ def parse_automaton(text):
             raise InputFormatError(f"rule for unknown state {state!r}")
         if not any(pattern is None for pattern, _ in rows):
             raise InputFormatError(f"state {state!r} has no else rule")
-        for _, target in rows:
+        for pattern, target in rows:
             if target not in known:
                 raise InputFormatError(f"rule target {target!r} is not declared")
+            for alpha, (at_least, _) in (pattern or {}).items():
+                if not 1 <= alpha <= channels:
+                    raise InputFormatError(
+                        f"rule for {state!r} constrains channel {alpha}, not in 1..{channels}"
+                    )
+                for name, _ in at_least:
+                    if name not in known:
+                        raise InputFormatError(f"pattern state {name!r} is not declared")
     for state in known:
         if state not in rules:
             raise InputFormatError(f"state {state!r} has no rules (need at least an else)")
+    for target in [*init_rows.values(), init_default]:
+        if target is not None and target not in known:
+            raise InputFormatError(f"init target {target!r} is not declared")
     for target in accepting:
         if target not in known:
             raise InputFormatError(f"accepting state {target!r} is not declared")

@@ -1,19 +1,20 @@
-"""Fixed-point evaluation of the WL pair formula over a single edge relation.
+"""Fixed-point evaluation of the WL pair formula.
 
-This is the second, independent oracle for WL equivalence: starting from the
-full pair relation over the domain, a pair (x, y) survives a stage when it
-survived the previous stage and, for every z, x has as many successors
-related to z as y has.  The surviving relation shrinks until it stops; the
-greatest fixed point relates exactly the WL-equivalent pairs, evaluated on
-the disjoint union of the two models.
+This is the second, independent oracle for WL equivalence.  Stage 0 relates
+the pairs of nodes that agree on every proposition.  A pair (x, y) survives
+a stage when it survived the previous stage and, on every channel and for
+every z, x has as many successors related to z as y has.  The surviving
+relation shrinks until it stops; the greatest fixed point relates exactly
+the WL-equivalent pairs, evaluated on the disjoint union of the two models.
+Models with any number of channels are supported.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .errors import VocabularyError
-from .kripke import disjoint_union
+from .kripke import pointed_union
 
 
 @dataclass(frozen=True)
@@ -24,90 +25,61 @@ class PairRelation:
     stage: int
 
 
-def hartig_holds(set_a, set_b):
-    """Equicardinality of two definable sets."""
-    return len(set_a) == len(set_b)
-
-
-def _require_single_channel(model):
-    if model.vocab.channels != 1:
-        raise VocabularyError(
-            "the pair formula is defined for a single edge relation; "
-            f"this model has {model.vocab.channels} channels"
-        )
-
-
-def full_square(model):
-    """Stage-0 relation: all ordered pairs of the domain."""
-    _require_single_channel(model)
+def atom_agreement(model):
+    """Stage-0 relation: the ordered pairs that carry the same propositions."""
+    atoms = {w: model.atom_profile(w) for w in model.domain}
     return PairRelation(
-        frozenset((x, y) for x in model.domain for y in model.domain), 0
+        frozenset((x, y) for x in model.domain for y in model.domain if atoms[x] == atoms[y]),
+        0,
     )
 
 
 def phi_wl_step(model, relation):
-    """One stage: keep (x, y) when for every z the number of successors of x
-    related to z equals the number of successors of y related to z."""
-    _require_single_channel(model)
-    pairs = relation.pairs
-    domain = model.domain
-    succ = {w: model.successors(w, 1) for w in domain}
-    survivors = []
-    for x, y in pairs:
-        ok = True
-        sx, sy = succ[x], succ[y]
-        for z in domain:
-            cx = sum(1 for v in sx if (v, z) in pairs)
-            cy = sum(1 for v in sy if (v, z) in pairs)
-            if cx != cy:
-                ok = False
-                break
-        if ok:
-            survivors.append((x, y))
-    return PairRelation(frozenset(survivors), relation.stage + 1)
+    """One stage: keep (x, y) when, on every channel alpha and for every z,
+    the number of alpha-successors of x related to z equals the number of
+    alpha-successors of y related to z.  This is Härtig's equicardinality
+    quantifier applied to the two successor sets."""
+    related = {w: [] for w in model.domain}
+    for v, z in relation.pairs:
+        related[v].append(z)
+    channels = range(1, model.vocab.channels + 1)
+    counts = {
+        x: tuple(Counter(z for v in model.successors(x, alpha) for z in related[v])
+                 for alpha in channels)
+        for x in model.domain
+    }
+    survivors = frozenset((x, y) for x, y in relation.pairs if counts[x] == counts[y])
+    return PairRelation(survivors, relation.stage + 1)
 
 
-def phi_wl_fixpoint(model):
-    """Iterate from the full square until the relation stops shrinking.
-
-    Returns ``(fixpoint, stages)`` where ``stages`` is the first stage whose
-    relation equals its predecessor's.
-    """
-    current = full_square(model)
+def stage_relations(model):
+    """The antitone chain of stage relations, lazily, ending at the fixed
+    point: the last relation yielded is the first that one more stage leaves
+    unchanged."""
+    current = atom_agreement(model)
     while True:
+        yield current
         nxt = phi_wl_step(model, current)
         if nxt.pairs == current.pairs:
-            return current, current.stage
+            return
         current = nxt
 
 
-def stage_relations(model, max_stage=None):
-    """The antitone chain of stage relations, up to the fixed point.
+def phi_wl_fixpoint(model):
+    """Iterate from atom agreement until the relation stops shrinking.
 
-    The last element is the fixed point; ``max_stage`` optionally truncates.
+    Returns ``(fixpoint, stages)`` where ``stages`` is the first stage whose
+    relation equals its successor's.
     """
-    chain = [full_square(model)]
-    while True:
-        if max_stage is not None and chain[-1].stage >= max_stage:
-            return chain
-        nxt = phi_wl_step(model, chain[-1])
-        if nxt.pairs == chain[-1].pairs:
-            return chain
-        chain.append(nxt)
-
-
-def _union_pair(pm1, pm2):
-    if pm1.model.vocab != pm2.model.vocab:
-        raise VocabularyError("the two models must share a vocabulary")
-    _require_single_channel(pm1.model)
-    union, map1, map2 = disjoint_union(pm1.model, pm2.model)
-    return union, map1[pm1.point], map2[pm2.point]
+    for relation in stage_relations(model):
+        pass
+    return relation, relation.stage
 
 
 def wl_equivalent_via_gfp(pm1, pm2):
     """Whether the two points are WL-equivalent, by the fixed point on the
     disjoint union."""
-    union, a, b = _union_pair(pm1, pm2)
+    union, a, b = pointed_union(pm1, pm2)
     fixpoint, _ = phi_wl_fixpoint(union)
     return (a, b) in fixpoint.pairs
 
@@ -120,7 +92,8 @@ def stagewise_agreement(pm1, pm2, t):
     """
     if t < 0:
         raise ValueError("stage must be non-negative")
-    union, a, b = _union_pair(pm1, pm2)
-    chain = stage_relations(union, max_stage=t)
-    relation = chain[min(t, len(chain) - 1)]
+    union, a, b = pointed_union(pm1, pm2)
+    for relation in stage_relations(union):
+        if relation.stage == t:
+            break
     return (a, b) in relation.pairs

@@ -47,7 +47,7 @@ class KripkeModel:
     index to an iterable of nodes.
     """
 
-    __slots__ = ("vocab", "domain", "_succ", "_valuation", "_atom_cache", "__weakref__")
+    __slots__ = ("vocab", "domain", "_nodes", "_succ", "_valuation", "_atom_cache", "__weakref__")
 
     def __init__(self, nodes, vocab, edges=(), valuation=None):
         domain = tuple(sorted(set(nodes)))
@@ -55,7 +55,7 @@ class KripkeModel:
             raise ModelDomainError("the domain must be non-empty")
         if any((not isinstance(w, int)) or w < 0 for w in domain):
             raise ModelDomainError("node identifiers must be non-negative integers")
-        node_set = set(domain)
+        node_set = frozenset(domain)
         succ = {alpha: {w: [] for w in domain} for alpha in range(1, vocab.channels + 1)}
         for alpha, u, v in edges:
             vocab.check_channel(alpha)
@@ -77,6 +77,7 @@ class KripkeModel:
             val.setdefault(p, frozenset())
         object.__setattr__(self, "vocab", vocab)
         object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "_nodes", node_set)
         object.__setattr__(self, "_succ", succ)
         object.__setattr__(self, "_valuation", val)
         object.__setattr__(self, "_atom_cache", {})
@@ -107,7 +108,7 @@ class KripkeModel:
         cached = self._atom_cache.get(w)
         if cached is not None:
             return cached
-        if w not in self._succ[1]:
+        if w not in self._nodes:
             raise ModelDomainError(f"node {w} is not in the domain")
         profile = frozenset(p for p, ws in self._valuation.items() if w in ws)
         self._atom_cache[w] = profile
@@ -140,7 +141,7 @@ class PointedModel:
     point: int
 
     def __post_init__(self):
-        if self.point not in set(self.model.domain):
+        if self.point not in self.model._nodes:
             raise ModelDomainError(f"point {self.point} is not in the domain")
 
 
@@ -202,11 +203,6 @@ class Multiset:
 # -- structural operations -------------------------------------------------
 
 
-def successors(model, w, alpha):
-    """Module-level alias for :meth:`KripkeModel.successors`."""
-    return model.successors(w, alpha)
-
-
 def disjoint_union(m1, m2):
     """Disjoint union of two models over the same vocabulary.
 
@@ -231,30 +227,11 @@ def disjoint_union(m1, m2):
     return union, map1, map2
 
 
-def reachable_within(model, w, steps):
-    """Nodes reachable from w in at most ``steps`` hops of the union relation.
-
-    Includes w itself; ``steps=0`` returns ``{w}``.
-    """
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
-    if w not in set(model.domain):
-        raise ModelDomainError(f"node {w} is not in the domain")
-    seen = {w}
-    frontier = [w]
-    channels = range(1, model.vocab.channels + 1)
-    for _ in range(steps):
-        if not frontier:
-            break
-        nxt = []
-        for u in frontier:
-            for alpha in channels:
-                for v in model.successors(u, alpha):
-                    if v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-        frontier = nxt
-    return frozenset(seen)
+def pointed_union(pm1, pm2):
+    """The disjoint union of two pointed models' models, with both points
+    renamed into it: ``(union, a, b)``."""
+    union, map1, map2 = disjoint_union(pm1.model, pm2.model)
+    return union, map1[pm1.point], map2[pm2.point]
 
 
 def max_out_degree(model, nodes, alpha):

@@ -61,7 +61,6 @@ class BudgetedEnumerator:
 class Budgets:
     """Budget knobs shared by the translation streams."""
 
-    max_depth: int = 2
     max_degree: int = 2
     max_items: int = None
     max_rounds: int = 8

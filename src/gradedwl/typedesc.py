@@ -30,13 +30,7 @@ from .formulas import (
     conjoin_all,
     exact_diamond,
 )
-from .kripke import (
-    KripkeModel,
-    PointedModel,
-    Vocabulary,
-    max_out_degree,
-    reachable_within,
-)
+from .kripke import KripkeModel, PointedModel, max_out_degree
 
 DEFAULT_RENDER_CAP = 10**6
 
@@ -119,6 +113,8 @@ class InternTable:
         self._by_uid = {}
         self._render = {}
         self._sizes = {}
+        # model -> {(node, width vector): descriptor}, for type_of_width
+        self._width = weakref.WeakKeyDictionary()
         self._next = 0
 
     def intern(self, vocab, depth, atoms, channels):
@@ -164,10 +160,6 @@ def type_epsilon(pm, table=None):
     return table.intern(pm.model.vocab, 0, pm.model.atom_profile(pm.point), ())
 
 
-# Per-model memo for width-indexed types: model -> {(node, width): descriptor}.
-_width_memo = weakref.WeakKeyDictionary()
-
-
 def type_of_width(pm, width_vector, table=None):
     """Type of the given width: exact counts below the width, thresholds at
     or above it, and the exact successor total when the width exceeds the
@@ -175,15 +167,14 @@ def type_of_width(pm, width_vector, table=None):
     table = _table(table)
     width_vector = tuple(tuple(level) for level in width_vector)
     model = pm.model
-    memo = _width_memo.get(model)
+    memo = table._width.get(model)
     if memo is None:
-        memo = {}
-        _width_memo[model] = memo
+        memo = table._width[model] = {}
     return _type_of_width(model, pm.point, width_vector, table, memo)
 
 
 def _type_of_width(model, w, width_vector, table, memo):
-    key = (w, width_vector, id(table))
+    key = (w, width_vector)
     found = memo.get(key)
     if found is not None:
         return found

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import ModelDomainError, VocabularyError
 from .formulas import Formula
-from .kripke import PointedModel, disjoint_union
+from .kripke import pointed_union
 from . import automaton as automaton_mod
 from . import typedesc
 
@@ -103,10 +103,7 @@ def distinguish(pm1, pm2, table=None):
 
     Reports the first round at which the colors diverge, if any.
     """
-    if pm1.model.vocab != pm2.model.vocab:
-        raise VocabularyError("the two models must share a vocabulary")
-    union, map1, map2 = disjoint_union(pm1.model, pm2.model)
-    a, b = map1[pm1.point], map2[pm2.point]
+    union, a, b = pointed_union(pm1, pm2)
     stable = refine_to_stable(union, table)
     for coloring in stable.history:
         if coloring.colors[a] != coloring.colors[b]:

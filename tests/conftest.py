@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from gradedwl import KripkeModel, PointedModel, Vocabulary
@@ -25,23 +23,6 @@ def cycle(n, vocab=V0):
         j = (i + 1) % n
         edges += [(1, i, j), (1, j, i)]
     return model(range(n), edges, vocab)
-
-
-def all_models_upto(max_nodes, max_degree, vocab):
-    """Exhaustive labeled models; degree cap applies per channel."""
-    for n in range(1, max_nodes + 1):
-        out_sets = []
-        for size in range(min(max_degree, n) + 1):
-            out_sets.extend(itertools.combinations(range(n), size))
-        slots = [(w, a) for w in range(n) for a in range(1, vocab.channels + 1)]
-        val_sets = list(itertools.chain.from_iterable(
-            itertools.combinations(range(n), k) for k in range(n + 1)))
-        for assignment in itertools.product(out_sets, repeat=len(slots)):
-            edges = [(a, w, v) for (w, a), targets in zip(slots, assignment)
-                     for v in targets]
-            for combo in itertools.product(val_sets, repeat=len(vocab.props)):
-                valuation = dict(zip(sorted(vocab.props), combo))
-                yield KripkeModel(range(n), vocab, edges, valuation)
 
 
 def pointed(m, w):

@@ -43,6 +43,7 @@ from gradedwl.wl import initial_coloring, refine_round
 
 V0 = Vocabulary(frozenset(), 1)
 V1 = Vocabulary(frozenset({0}), 1)
+V1_CH2 = Vocabulary(frozenset({0}), 2)
 
 
 def pointed(m, w):
@@ -187,15 +188,19 @@ def test_criterion_2_type_equality_iff_trace_equality():
 # -- criterion 3: pair-relation stages = color agreement -------------------
 
 
+C3_VOCABS = ((V0, 300), (V1, 100), (V1_CH2, 100))
+
+
 def _c3_pairs():
     rng = random.Random(331)
     out = []
-    for i in range(300):
-        n1 = rng.randint(1, 7)
-        m1 = random_model(rng, n1, 3, V0)
-        m2 = random_model(rng, 8 - len(m1.domain), 3, V0)
-        out.append((pointed(m1, rng.choice(m1.domain)),
-                    pointed(m2, rng.choice(m2.domain))))
+    for vocab, count in C3_VOCABS:
+        for _ in range(count):
+            n1 = rng.randint(1, 7)
+            m1 = random_model(rng, n1, 3, vocab)
+            m2 = random_model(rng, 8 - len(m1.domain), 3, vocab)
+            out.append((pointed(m1, rng.choice(m1.domain)),
+                        pointed(m2, rng.choice(m2.domain))))
     return out
 
 
@@ -213,7 +218,7 @@ def test_criterion_3_stagewise_agreement():
     stages_seen = 0
     for pm1, pm2 in _c3_pairs():
         union, map1, map2 = disjoint_union(pm1.model, pm2.model)
-        chain = stage_relations(union)
+        chain = list(stage_relations(union))
         assert chain[-1].stage <= 8
         colorings = _colorings_up_to(union, chain[-1].stage)
         for relation, coloring in zip(chain, colorings):
@@ -227,7 +232,8 @@ def test_criterion_3_stagewise_agreement():
             separated.append((pm1, pm2))
     assert len(separated) > 50
     test_criterion_3_stagewise_agreement.separated = separated
-    print(f"[criterion 3] PASS: 300 single-channel pairs, {stages_seen} stages "
+    print(f"[criterion 3] PASS: 300 V0, 100 V1 and 100 two-channel V1 pairs, "
+          f"{stages_seen} stages "
           f"checked over all node pairs; fixed points within 8 stages; "
           f"{len(separated)} separated pairs recorded")
 

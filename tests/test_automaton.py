@@ -4,12 +4,14 @@ import pytest
 
 from gradedwl import (
     AutomatonSpec,
+    GridSpec,
     KripkeModel,
     Multiset,
     TransitionError,
     Verdict,
     VocabularyError,
     full_type,
+    gen_grid,
     initial_configuration,
     run,
     step,
@@ -17,7 +19,7 @@ from gradedwl import (
     type_epsilon,
 )
 
-from conftest import V0, V1, all_models_upto, cycle, model, path3_undirected, pointed
+from conftest import V0, V1, cycle, model, path3_undirected, pointed
 
 
 def degree_automaton(vocab=V0):
@@ -173,7 +175,8 @@ class TestTypeAutomaton:
 
     def test_state_equals_full_type_small_models(self):
         aut = type_automaton(V0)
-        for m in itertools.islice(all_models_upto(3, 2, V0), 200):
+        for m in itertools.islice(
+                gen_grid(GridSpec(max_nodes=3, max_degree=2, exhaustive=True)), 200):
             config = initial_configuration(aut, m)
             for n in range(3):
                 for w in m.domain:

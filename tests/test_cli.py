@@ -250,3 +250,20 @@ class TestGen:
     def test_cap_refusal_exit_three(self, capsys):
         assert main(["gen", "--max-nodes", "6", "--max-degree", "5",
                      "--exhaustive"]) == 3
+
+
+@pytest.mark.parametrize("automaton, argv", [
+    (None, ["type", "{model}", "0", "--width", "1,x"]),
+    (AUTOMATON_SEES_P0.replace("yes>=1", "b>=x"), ["run", "{automaton}", "{model}", "0"]),
+    (AUTOMATON_SEES_P0.replace("yes>=1", "b>=1"), ["run", "{automaton}", "{model}", "0"]),
+    (AUTOMATON_SEES_P0.replace("[1:", "[2:"), ["run", "{automaton}", "{model}", "0"]),
+    (AUTOMATON_SEES_P0.replace("init default no", "init default zz"),
+     ["run", "{automaton}", "{model}", "0"]),
+], ids=["width-not-integer", "pattern-count-not-integer", "pattern-state-undeclared",
+        "pattern-channel-out-of-range", "init-target-undeclared"])
+def test_malformed_input_exit_three(automaton, argv, chain, tmp_path, capsys):
+    aut = tmp_path / "a.automaton"
+    if automaton is not None:
+        aut.write_text(automaton)
+    assert main([arg.format(model=chain, automaton=aut) for arg in argv]) == 3
+    assert "error:" in capsys.readouterr().err

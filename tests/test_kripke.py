@@ -11,7 +11,6 @@ from gradedwl import (
     VocabularyError,
     disjoint_union,
     max_out_degree,
-    reachable_within,
 )
 
 from conftest import V0, V1, model
@@ -121,24 +120,6 @@ class TestDisjointUnion:
         m2 = KripkeModel([0], V1, [], {})
         u, map1, map2 = disjoint_union(m1, m2)
         assert u.valuation(0) == frozenset({map1[0]})
-
-
-class TestReachableWithin:
-    def setup_method(self):
-        self.m = model([1, 2, 3], [(1, 1, 2), (1, 2, 3)])
-
-    def test_zero_hops(self):
-        assert reachable_within(self.m, 1, 0) == {1}
-
-    def test_one_hop(self):
-        assert reachable_within(self.m, 1, 1) == {1, 2}
-
-    def test_saturation(self):
-        assert reachable_within(self.m, 1, 5) == {1, 2, 3}
-
-    def test_monotone_chain(self):
-        for s in range(4):
-            assert reachable_within(self.m, 1, s) <= reachable_within(self.m, 1, s + 1)
 
 
 class TestMaxOutDegree:

@@ -8,11 +8,13 @@ from gradedwl import (
     Prop,
     TOP,
     Budgets,
+    GridSpec,
     BudgetedEnumerator,
     automaton_to_disjunction,
     check,
     disjunction_to_automaton,
     formula_to_type_disjunction,
+    gen_grid,
     parse,
     roundtrip_check,
     run,
@@ -20,7 +22,7 @@ from gradedwl import (
 )
 from gradedwl.translate import BUDGET_REACHED, diagonal
 
-from conftest import V0, V1, all_models_upto, model, pointed
+from conftest import V0, V1, model, pointed
 
 
 class TestBudgetedEnumerator:
@@ -115,7 +117,9 @@ class TestFormulaToTypes:
 class TestDisjunctionToAutomaton:
     def check_agreement(self, disjunction, formula, vocab, max_degree=2, depth=1):
         aut = disjunction_to_automaton(disjunction, vocab, max_degree)
-        for m in itertools.islice(all_models_upto(3, max_degree, vocab), 120):
+        spec = GridSpec(max_nodes=3, max_degree=max_degree, props=len(vocab.props),
+                        exhaustive=True)
+        for m in itertools.islice(gen_grid(spec), 120):
             for w in m.domain:
                 pm = pointed(m, w)
                 assert run(aut, pm, max_rounds=depth).accepted == check(pm, formula)
@@ -163,12 +167,14 @@ class TestAutomatonToDisjunction:
 
 class TestRoundtrip:
     def budgets(self, depth):
-        return Budgets(max_depth=depth, max_degree=2, max_rounds=depth)
+        return Budgets(max_degree=2, max_rounds=depth)
 
     def models(self, vocab, count=80):
         return [
             pointed(m, w)
-            for m in itertools.islice(all_models_upto(3, 2, vocab), count)
+            for m in itertools.islice(
+                gen_grid(GridSpec(max_nodes=3, max_degree=2, props=len(vocab.props),
+                                  exhaustive=True)), count)
             for w in m.domain
         ]
 

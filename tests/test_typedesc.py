@@ -129,6 +129,16 @@ class TestFullType:
         with pytest.raises(ValueError):
             full_type(pointed(model([0]), 0), -1)
 
+    def test_fresh_tables_get_their_own_descriptors(self):
+        # A freed table's address is soon reused, so a memo keyed by the
+        # table's id() would hand the next table a descriptor it never made.
+        pm = pointed(path3_undirected(), 1)
+        for _ in range(50):
+            table = InternTable()
+            t = full_type(pm, 2, table)
+            assert table.by_uid(t.uid) is t
+            del table, t
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.data())
