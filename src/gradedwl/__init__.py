@@ -20,7 +20,6 @@ from .kripke import (
     PointedModel,
     Vocabulary,
     disjoint_union,
-    max_out_degree,
 )
 from .formulas import (
     And,
@@ -45,7 +44,6 @@ from .typedesc import (
     TypeDescriptor,
     enumerate_full_types,
     full_type,
-    full_width,
     render_type,
     serialize_type,
     tree_model_of_type,

@@ -162,18 +162,14 @@ def type_automaton(vocab, table=None, accepting=None, accepting_enumerator=None)
         if not isinstance(prev, typedesc.TypeDescriptor):
             raise TransitionError("type automaton states must be type descriptors")
         depth = prev.depth
-        profiles = []
         for ms in multisets:
-            exact = []
-            for child, count in ms.items():
+            for child, _ in ms.items():
                 if not isinstance(child, typedesc.TypeDescriptor) or child.depth != depth:
                     raise TransitionError(
                         f"received a state of depth {getattr(child, 'depth', '?')} "
                         f"in round with states of depth {depth}"
                     )
-                exact.append((child, count))
-            exact.sort(key=lambda e: (e[0].uid, e[1]))
-            profiles.append(typedesc.ChannelProfile(tuple(exact), (), len(ms)))
+        profiles = [typedesc.profile_of(ms) for ms in multisets]
         return table.intern(vocab, depth + 1, prev.atoms, profiles)
 
     return AutomatonSpec(

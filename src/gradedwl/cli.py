@@ -19,7 +19,7 @@ from .automaton import run as run_automaton
 from .errors import GradedWLError
 from .formats import parse_automaton, parse_model, serialize_model
 from .formulas import check, parse, print_formula
-from .kripke import KripkeModel, PointedModel, pointed_union
+from .kripke import KripkeModel, PointedModel, Vocabulary, pointed_union
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -36,19 +36,31 @@ def _read(path):
         raise GradedWLError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_model(path):
-    return parse_model(_read(path))
+def _load_model(path, symmetric=False):
+    """The model in ``path``, closed under reversed edges when ``symmetric``."""
+    model = parse_model(_read(path))
+    if not symmetric:
+        return model
+    edges = model.edge_triples()
+    closed = set(edges) | {(a, v, u) for a, u, v in edges}
+    return KripkeModel(model.domain, model.vocab, sorted(closed),
+                       {p: model.valuation(p) for p in model.vocab.props})
 
 
 def _load_automaton(path):
     return parse_automaton(_read(path))
 
 
-def _symmetric_closure(model):
-    edges = model.edge_triples()
-    closed = set(edges) | {(a, v, u) for a, u, v in edges}
-    return KripkeModel(model.domain, model.vocab, sorted(closed),
-                       {p: model.valuation(p) for p in model.vocab.props})
+def _grid_spec(args, props):
+    return grid_mod.GridSpec(
+        max_nodes=args.max_nodes,
+        max_degree=args.max_degree,
+        channels=args.channels,
+        props=props,
+        seed=args.seed,
+        count=args.count,
+        exhaustive=args.exhaustive,
+    )
 
 
 def _emit(args, text_lines, payload):
@@ -103,9 +115,7 @@ def cmd_type(args):
 
 
 def cmd_refine(args):
-    model = _load_model(args.model)
-    if args.symmetric:
-        model = _symmetric_closure(model)
+    model = _load_model(args.model, args.symmetric)
     lines = []
     payload = {}
     if args.classic:
@@ -147,11 +157,8 @@ def cmd_refine(args):
 
 
 def cmd_distinguish(args):
-    model_a = _load_model(args.model_a)
-    model_b = _load_model(args.model_b)
-    if args.symmetric:
-        model_a = _symmetric_closure(model_a)
-        model_b = _symmetric_closure(model_b)
+    model_a = _load_model(args.model_a, args.symmetric)
+    model_b = _load_model(args.model_b, args.symmetric)
     pm1 = PointedModel(model_a, args.point_a)
     pm2 = PointedModel(model_b, args.point_b)
     lines = []
@@ -202,9 +209,7 @@ def cmd_distinguish(args):
 
 def cmd_run(args):
     spec = _load_automaton(args.automaton)
-    model = _load_model(args.model)
-    if args.symmetric:
-        model = _symmetric_closure(model)
+    model = _load_model(args.model, args.symmetric)
     result = run_automaton(spec, PointedModel(model, args.point), args.max_rounds)
     if result.accepted:
         _emit(args, [f"accepted_at: {result.round}"],
@@ -218,8 +223,6 @@ def cmd_run(args):
 def cmd_translate(args):
     table = typedesc.InternTable()
     if args.direction == "f2a":
-        from .kripke import Vocabulary
-
         vocab = Vocabulary(frozenset(args.props), args.channels)
         formula = parse(args.formula, vocab)
         stream = translate_mod.formula_to_type_disjunction(
@@ -246,19 +249,9 @@ def cmd_translate(args):
 
 
 def cmd_roundtrip(args):
-    from .kripke import Vocabulary
-
     vocab = Vocabulary(frozenset(args.props), args.channels)
     formula = parse(args.formula, vocab)
-    spec = grid_mod.GridSpec(
-        max_nodes=args.max_nodes,
-        max_degree=args.max_degree,
-        channels=args.channels,
-        props=len(args.props),
-        seed=args.seed,
-        count=args.count,
-        exhaustive=args.exhaustive,
-    )
+    spec = _grid_spec(args, len(args.props))
     budgets = translate_mod.Budgets(
         max_degree=args.max_degree,
         max_items=args.max_items,
@@ -278,15 +271,7 @@ def cmd_roundtrip(args):
 
 
 def cmd_gen(args):
-    spec = grid_mod.GridSpec(
-        max_nodes=args.max_nodes,
-        max_degree=args.max_degree,
-        channels=args.channels,
-        props=args.props,
-        seed=args.seed,
-        count=args.count,
-        exhaustive=args.exhaustive,
-    )
+    spec = _grid_spec(args, args.props)
     documents = [serialize_model(m) for m in grid_mod.gen_grid(spec)]
     if args.json:
         print(json.dumps({"models": documents}))
@@ -300,6 +285,17 @@ def cmd_gen(args):
 
 def _int_list(text):
     return [int(x) for x in text.split(",") if x.strip()] if text else []
+
+
+def _natural(text):
+    """argparse type for counts and bounds: an integer >= 0."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
 
 
 def build_parser():
@@ -323,7 +319,7 @@ def build_parser():
     p = sub.add_parser("type", help="compute a graded multimodal type")
     p.add_argument("model")
     p.add_argument("point", type=int)
-    p.add_argument("--depth", type=int, default=0)
+    p.add_argument("--depth", type=_natural, default=0)
     p.add_argument("--width", help="explicit width, e.g. '2,1;1,0'")
     p.add_argument("--render", action="store_true")
     common(p)
@@ -332,7 +328,7 @@ def build_parser():
     p = sub.add_parser("refine", help="run color refinement")
     p.add_argument("model")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--rounds", type=int)
+    group.add_argument("--rounds", type=_natural)
     group.add_argument("--stable", action="store_true")
     p.add_argument("--trace", action="store_true")
     p.add_argument("--symmetric", action="store_true")
@@ -356,7 +352,7 @@ def build_parser():
     p.add_argument("automaton")
     p.add_argument("model")
     p.add_argument("point", type=int)
-    p.add_argument("--max-rounds", type=int, default=8)
+    p.add_argument("--max-rounds", type=_natural, default=8)
     p.add_argument("--symmetric", action="store_true")
     common(p)
     p.set_defaults(func=cmd_run)
@@ -367,9 +363,9 @@ def build_parser():
     p.add_argument("--automaton", help="automaton file (a2f)")
     p.add_argument("--props", type=_int_list, default=[])
     p.add_argument("--channels", type=int, default=1)
-    p.add_argument("--max-degree", type=int, default=2)
-    p.add_argument("--max-items", type=int)
-    p.add_argument("--max-rounds", type=int, default=2)
+    p.add_argument("--max-degree", type=_natural, default=2)
+    p.add_argument("--max-items", type=_natural)
+    p.add_argument("--max-rounds", type=_natural, default=2)
     common(p)
     p.set_defaults(func=cmd_translate)
 
@@ -377,23 +373,23 @@ def build_parser():
     p.add_argument("formula")
     p.add_argument("--props", type=_int_list, default=[])
     p.add_argument("--channels", type=int, default=1)
-    p.add_argument("--max-nodes", type=int, default=3)
-    p.add_argument("--max-degree", type=int, default=2)
-    p.add_argument("--max-items", type=int)
-    p.add_argument("--max-rounds", type=int, default=2)
+    p.add_argument("--max-nodes", type=_natural, default=3)
+    p.add_argument("--max-degree", type=_natural, default=2)
+    p.add_argument("--max-items", type=_natural)
+    p.add_argument("--max-rounds", type=_natural, default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=50)
+    p.add_argument("--count", type=_natural, default=50)
     p.add_argument("--exhaustive", action="store_true")
     common(p)
     p.set_defaults(func=cmd_roundtrip)
 
     p = sub.add_parser("gen", help="generate a model grid")
-    p.add_argument("--max-nodes", type=int, required=True)
-    p.add_argument("--max-degree", type=int, required=True)
+    p.add_argument("--max-nodes", type=_natural, required=True)
+    p.add_argument("--max-degree", type=_natural, required=True)
     p.add_argument("--channels", type=int, default=1)
-    p.add_argument("--props", type=int, default=0)
+    p.add_argument("--props", type=_natural, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--count", type=_natural, default=10)
     p.add_argument("--exhaustive", action="store_true")
     common(p)
     p.set_defaults(func=cmd_gen)

@@ -100,10 +100,16 @@ _GROUP_RE = re.compile(r"\[\s*(\d+)\s*:\s*([^\]]*)\]")
 
 
 def _parse_pattern(text, no):
-    """Channel groups ``[a: name>=k, total=m]``; unmentioned channels match."""
+    """Channel groups ``[a: name>=k, total=m]``, at most one per channel and
+    nothing else; unmentioned channels match."""
+    stray = _GROUP_RE.sub(" ", text).strip()
+    if stray:
+        raise InputFormatError(f"unexpected text {stray!r} in pattern", line=no)
     groups = {}
     for match in _GROUP_RE.finditer(text):
         alpha = int(match.group(1))
+        if alpha in groups:
+            raise InputFormatError(f"pattern repeats channel {alpha}", line=no)
         at_least = []
         total = None
         body = match.group(2).strip()

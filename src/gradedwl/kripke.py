@@ -232,13 +232,3 @@ def pointed_union(pm1, pm2):
     renamed into it: ``(union, a, b)``."""
     union, map1, map2 = disjoint_union(pm1.model, pm2.model)
     return union, map1[pm1.point], map2[pm2.point]
-
-
-def max_out_degree(model, nodes, alpha):
-    """Maximum alpha-out-degree over ``nodes``; 0 for the empty set."""
-    best = 0
-    for v in nodes:
-        d = len(model.successors(v, alpha))
-        if d > best:
-            best = d
-    return best

@@ -4,8 +4,12 @@ A descriptor canonically encodes a type: the atom profile at the point and,
 per channel, how many successors carry each child type.  Counts strictly
 below the construction width are stored exactly; counts at or above it are
 stored as thresholds; when the width exceeds the out-degree, the exact
-successor total is recorded as well.  A *full* type has every count exact
-and a recorded total on every channel.
+successor total is recorded as well.  ``profile_of`` is the one place that
+turns successor counts into such a channel profile.
+
+A *full* type has every count exact and a recorded total on every channel:
+it is the type of unbounded width (``math.inf`` on every level), so
+``full_type`` needs no search for a large enough width.
 
 Descriptors are interned: structural identity (after canonical ordering)
 implies pointer identity and equal ``uid``.  Interning doubles as the WL
@@ -17,8 +21,10 @@ across models sharing one table.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 import weakref
+from typing import NamedTuple
 
 from .errors import NotFullTypeError, RenderSizeError
 from .formulas import (
@@ -30,36 +36,52 @@ from .formulas import (
     conjoin_all,
     exact_diamond,
 )
-from .kripke import KripkeModel, PointedModel, max_out_degree
+from .kripke import KripkeModel, PointedModel
 
 DEFAULT_RENDER_CAP = 10**6
 
 
-class ChannelProfile:
+class ChannelProfile(NamedTuple):
     """Per-channel successor summary of a descriptor.
 
     ``exact``      sorted tuple of (child descriptor, exact count >= 1)
     ``thresholds`` sorted tuple of (child descriptor, k) meaning ">= k", k >= 1
     ``total``      exact successor count, recorded when the width exceeded it
+
+    Child descriptors hash by uid and compare by identity, so a profile is
+    its own intern key.
     """
 
-    __slots__ = ("exact", "thresholds", "total")
-
-    def __init__(self, exact, thresholds, total):
-        self.exact = exact
-        self.thresholds = thresholds
-        self.total = total
-
-    def key(self):
-        return (
-            tuple((c.uid, n) for c, n in self.exact),
-            tuple((c.uid, k) for c, k in self.thresholds),
-            self.total,
-        )
+    exact: tuple
+    thresholds: tuple
+    total: int | None
 
     @property
     def is_exact(self):
         return not self.thresholds and self.total is not None
+
+
+def _by_child_uid(entry):
+    return entry[0].uid
+
+
+def profile_of(counts, width=math.inf):
+    """The channel profile of the successor counts ``{child: n}`` at one
+    width: exact entries below ``width``, ``>= width`` thresholds at or above
+    it, and the successor total when ``width`` exceeds it.  Width 0 records
+    nothing."""
+    exact = []
+    thresholds = []
+    total = 0
+    for child, n in counts.items():
+        total += n
+        if n < width:
+            exact.append((child, n))
+        elif width > 0:
+            thresholds.append((child, width))
+    exact.sort(key=_by_child_uid)
+    thresholds.sort(key=_by_child_uid)
+    return ChannelProfile(tuple(exact), tuple(thresholds), total if width > total else None)
 
 
 class TypeDescriptor:
@@ -118,12 +140,7 @@ class InternTable:
         self._next = 0
 
     def intern(self, vocab, depth, atoms, channels):
-        key = (
-            vocab,
-            depth,
-            tuple(sorted(atoms)),
-            tuple(p.key() for p in channels),
-        )
+        key = (vocab, depth, frozenset(atoms), tuple(channels))
         found = self._by_key.get(key)
         if found is not None:
             return found
@@ -131,7 +148,7 @@ class InternTable:
             found = self._by_key.get(key)
             if found is not None:
                 return found
-            t = TypeDescriptor(self._next, vocab, depth, frozenset(atoms), tuple(channels))
+            t = TypeDescriptor(self._next, vocab, depth, key[2], key[3])
             self._next += 1
             self._by_key[key] = t
             self._by_uid[t.uid] = t
@@ -163,7 +180,8 @@ def type_epsilon(pm, table=None):
 def type_of_width(pm, width_vector, table=None):
     """Type of the given width: exact counts below the width, thresholds at
     or above it, and the exact successor total when the width exceeds the
-    out-degree."""
+    out-degree.  A level entry of ``math.inf`` means unbounded: every count
+    on that channel is exact and its total is recorded."""
     table = _table(table)
     width_vector = tuple(tuple(level) for level in width_vector)
     model = pm.model
@@ -185,57 +203,23 @@ def _type_of_width(model, w, width_vector, table, memo):
     head, tail = width_vector[0], width_vector[1:]
     profiles = []
     for alpha in range(1, model.vocab.channels + 1):
-        k = head[alpha - 1]
-        succ = model.successors(w, alpha)
         counts = {}
-        for v in succ:
+        for v in model.successors(w, alpha):
             child = _type_of_width(model, v, tail, table, memo)
             counts[child] = counts.get(child, 0) + 1
-        exact = []
-        thresholds = []
-        if k > 0:
-            for child, n in counts.items():
-                if n < k:
-                    exact.append((child, n))
-                else:
-                    thresholds.append((child, k))
-        total = len(succ) if k > len(succ) else None
-        exact.sort(key=lambda e: (e[0].uid, e[1]))
-        thresholds.sort(key=lambda e: (e[0].uid, e[1]))
-        profiles.append(ChannelProfile(tuple(exact), tuple(thresholds), total))
+        profiles.append(profile_of(counts, head[alpha - 1]))
     t = table.intern(model.vocab, len(width_vector), model.atom_profile(w), profiles)
     memo[key] = t
     return t
 
 
-def full_width(pm, n):
-    """Smallest full width for depth n: level i is one more than the largest
-    out-degree among nodes within i-1 hops of the point, per channel."""
-    model = pm.model
-    levels = []
-    reach = {pm.point}
-    frontier = [pm.point]
-    channels = range(1, model.vocab.channels + 1)
-    for _ in range(n):
-        levels.append(
-            tuple(1 + max_out_degree(model, reach, alpha) for alpha in channels)
-        )
-        nxt = []
-        for u in frontier:
-            for alpha in channels:
-                for v in model.successors(u, alpha):
-                    if v not in reach:
-                        reach.add(v)
-                        nxt.append(v)
-        frontier = nxt
-    return tuple(levels)
-
-
 def full_type(pm, n, table=None):
-    """Full type of modal depth n: every successor count is exact."""
+    """Full type of modal depth n: the type of unbounded width, so every
+    successor count is exact and every total recorded."""
     if n < 0:
         raise ValueError("depth must be non-negative")
-    return type_of_width(pm, full_width(pm, n), table)
+    unbounded = (math.inf,) * pm.model.vocab.channels
+    return type_of_width(pm, (unbounded,) * n, table)
 
 
 # -- rendering -------------------------------------------------------------
@@ -350,13 +334,10 @@ def enumerate_full_types(vocab, n, degree_budget, table=None):
         channel_options = list(_multisets_up_to(level, degree_budget))
         for atoms in atom_sets:
             for combo in itertools.product(channel_options, repeat=vocab.channels):
-                profiles = []
-                for counts in combo:
-                    exact = tuple(
-                        (level[i], c) for i, c in enumerate(counts) if c > 0
-                    )
-                    exact = tuple(sorted(exact, key=lambda e: (e[0].uid, e[1])))
-                    profiles.append(ChannelProfile(exact, (), sum(counts)))
+                profiles = [
+                    profile_of({level[i]: c for i, c in enumerate(counts) if c > 0})
+                    for counts in combo
+                ]
                 nxt.append(table.intern(vocab, depth, atoms, profiles))
         level = nxt
     return iter(level)

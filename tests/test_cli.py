@@ -259,11 +259,34 @@ class TestGen:
     (AUTOMATON_SEES_P0.replace("[1:", "[2:"), ["run", "{automaton}", "{model}", "0"]),
     (AUTOMATON_SEES_P0.replace("init default no", "init default zz"),
      ["run", "{automaton}", "{model}", "0"]),
+    (AUTOMATON_SEES_P0.replace("[1: yes>=1]", "garbage"), ["run", "{automaton}", "{model}", "0"]),
+    (AUTOMATON_SEES_P0.replace("[1: yes>=1]", "[1: yes>=1] [1: total=2]"),
+     ["run", "{automaton}", "{model}", "0"]),
 ], ids=["width-not-integer", "pattern-count-not-integer", "pattern-state-undeclared",
-        "pattern-channel-out-of-range", "init-target-undeclared"])
+        "pattern-channel-out-of-range", "init-target-undeclared", "pattern-stray-text",
+        "pattern-channel-repeated"])
 def test_malformed_input_exit_three(automaton, argv, chain, tmp_path, capsys):
     aut = tmp_path / "a.automaton"
     if automaton is not None:
         aut.write_text(automaton)
     assert main([arg.format(model=chain, automaton=aut) for arg in argv]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["type", "{model}", "0", "--depth", "-1"],
+    ["refine", "{model}", "--rounds", "-1"],
+    ["run", "{automaton}", "{model}", "0", "--max-rounds", "-1"],
+    ["translate", "f2a", "--formula", "T", "--max-degree", "-1"],
+    ["translate", "f2a", "--formula", "T", "--max-items", "-1"],
+    ["roundtrip", "T", "--max-nodes", "-1"],
+    ["gen", "--max-nodes", "1", "--max-degree", "1", "--count", "-1"],
+    ["gen", "--max-nodes", "1", "--max-degree", "1", "--props", "-1", "--exhaustive"],
+], ids=["depth", "rounds", "max-rounds", "max-degree", "max-items", "max-nodes", "count",
+        "props"])
+def test_negative_count_is_usage_error(argv, chain, tmp_path):
+    aut = tmp_path / "a.automaton"
+    aut.write_text(AUTOMATON_SEES_P0)
+    with pytest.raises(SystemExit) as err:
+        main([arg.format(model=chain, automaton=aut) for arg in argv])
+    assert err.value.code == 2

@@ -10,7 +10,6 @@ from gradedwl import (
     Vocabulary,
     VocabularyError,
     disjoint_union,
-    max_out_degree,
 )
 
 from conftest import V0, V1, model
@@ -120,20 +119,6 @@ class TestDisjointUnion:
         m2 = KripkeModel([0], V1, [], {})
         u, map1, map2 = disjoint_union(m1, m2)
         assert u.valuation(0) == frozenset({map1[0]})
-
-
-class TestMaxOutDegree:
-    def setup_method(self):
-        self.star = model([1, 2, 3, 4], [(1, 1, 2), (1, 1, 3), (1, 1, 4)])
-
-    def test_center(self):
-        assert max_out_degree(self.star, {1}, 1) == 3
-
-    def test_leaves(self):
-        assert max_out_degree(self.star, {2, 3, 4}, 1) == 0
-
-    def test_empty_set(self):
-        assert max_out_degree(self.star, set(), 1) == 0
 
 
 class TestMultiset:

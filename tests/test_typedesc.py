@@ -12,7 +12,6 @@ from gradedwl import (
     check,
     enumerate_full_types,
     full_type,
-    full_width,
     modal_depth,
     render_type,
     serialize_type,
@@ -92,14 +91,11 @@ class TestTypeOfWidth:
         assert t.channels[0].exact[0][1] == 2
 
 
-class TestFullWidth:
-    def test_levels_track_reachable_degrees(self):
-        # 0 -> 1 -> {2,3}: at the point the degree is 1, one hop out it is 2
-        m = model([0, 1, 2, 3], [(1, 0, 1), (1, 1, 2), (1, 1, 3)])
-        assert full_width(pointed(m, 0), 2) == ((2,), (3,))
-
-    def test_depth_zero_empty(self):
-        assert full_width(pointed(model([0]), 0), 0) == ()
+def above_degrees(m, depth):
+    """A finite width vector with every level one above the model's largest
+    out-degree on channel 1, so every count is exact and every total set."""
+    top = max(len(m.successors(v, 1)) for v in m.domain)
+    return ((top + 1,),) * depth
 
 
 class TestFullType:
@@ -121,9 +117,11 @@ class TestFullType:
 
     def test_larger_width_gives_same_descriptor(self):
         pm = pointed(path3_undirected(), 1)
-        fw = full_width(pm, 2)
+        fw = above_degrees(pm.model, 2)
         bigger = tuple((level[0] + 3,) for level in fw)
-        assert type_of_width(pm, fw).uid == type_of_width(pm, bigger).uid
+        full = full_type(pm, 2)
+        assert type_of_width(pm, fw) is full
+        assert type_of_width(pm, bigger) is full
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):
@@ -152,9 +150,11 @@ def test_full_type_width_independence_random(n_nodes, data):
     w = data.draw(st.integers(0, n_nodes - 1))
     depth = data.draw(st.integers(0, 3))
     pm = pointed(m, w)
-    fw = full_width(pm, depth)
+    fw = above_degrees(m, depth)
     padded = tuple((level[0] + data.draw(st.integers(1, 3)),) for level in fw)
-    assert type_of_width(pm, fw).uid == type_of_width(pm, padded).uid
+    full = full_type(pm, depth)
+    assert type_of_width(pm, fw).uid == full.uid
+    assert type_of_width(pm, padded).uid == full.uid
 
 
 def test_deeper_type_refines_shallower():
