@@ -33,7 +33,6 @@ from .formulas import (
     check,
     check_disjunction,
     conjoin_disjunctions,
-    equivalent_on,
     modal_depth,
     parse,
     print_formula,

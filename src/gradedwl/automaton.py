@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .errors import TransitionError, VocabularyError
+from .errors import ModelDomainError, TransitionError, VocabularyError
 from .kripke import Multiset
 from . import typedesc
 
@@ -51,9 +51,16 @@ class Verdict(enum.Enum):
 
 @dataclass
 class RunResult:
+    """A point's verdict, accepting round and per-round states.
+
+    ``enum_budget_reached`` marks a verdict other than acceptance that the
+    enumeration budget cut short while the accepting stream had more items.
+    """
+
     verdict: Verdict
     round: int = None
     trace: list = field(default_factory=list)
+    enum_budget_reached: bool = False
 
     @property
     def accepted(self):
@@ -89,56 +96,73 @@ def step(automaton, model, config):
     return Configuration(config.round + 1, nxt)
 
 
-def run(automaton, pm, max_rounds, enum_budget=10000):
-    """Run at the pointed model; acceptance is a budget-relative semidecision.
+def run_points(automaton, model, points, max_rounds, enum_budget=10000):
+    """Run once over ``model`` and return ``{point: RunResult}`` for ``points``.
 
-    With a predicate accepting set, each round's point state is tested as it
-    appears.  With an enumerator, round advancement and enumeration are
-    dovetailed (one of each per step) until acceptance or both budgets run
-    out; acceptance reports the earliest accepting round discovered.
+    Every round steps the whole model, as the paper's configuration does,
+    and each requested point keeps its own trace; stepping stops once every
+    point has a verdict.  Each result equals :func:`run` at that point alone.
+
+    With a predicate accepting set, each round's point states are tested as
+    they appear.  With an enumerator, round advancement and enumeration are
+    dovetailed (one of each per step) until every point accepts or both
+    budgets run out; acceptance reports the earliest accepting round
+    discovered.  A result that is not accepted has ``enum_budget_reached``
+    set when enumeration stopped on ``enum_budget`` before the stream ended.
     """
     if max_rounds < 0:
         raise ValueError("max_rounds must be non-negative")
-    model, point = pm.model, pm.point
     config = initial_configuration(automaton, model)
-    trace = [config.states[point]]
-
-    if automaton.accepting_enumerator is None:
-        accepting = automaton.accepting
-        if accepting is not None and accepting(trace[0]):
-            return RunResult(Verdict.ACCEPTED, 0, trace)
-        for _ in range(max_rounds):
-            config = step(automaton, model, config)
-            trace.append(config.states[point])
-            if accepting is not None and accepting(trace[-1]):
-                return RunResult(Verdict.ACCEPTED, config.round, trace)
-        return RunResult(Verdict.NOT_WITHIN_BUDGET, None, trace)
-
-    enumerated = set()
-    iterator = iter(automaton.accepting_enumerator())
-    pulled = 0
-    rounds_left = max_rounds
-    enum_done = False
+    pending = {}  # point -> trace, until the point has a verdict
+    for p in points:
+        if p not in config.states:
+            raise ModelDomainError(f"point {p} is not in the domain")
+        pending[p] = [config.states[p]]
+    results = {}
+    accepting = automaton.accepting
+    enumerator = automaton.accepting_enumerator
+    enumerated, pulled = set(), 0
+    stream_open = enumerator is not None
+    if stream_open:
+        iterator = iter(enumerator())
     while True:
-        for t, s in enumerate(trace):
-            if s in enumerated:
-                return RunResult(Verdict.ACCEPTED, t, trace)
+        for p, trace in list(pending.items()):
+            if enumerator is not None:
+                hit = next((t for t, s in enumerate(trace) if s in enumerated), None)
+            elif accepting is not None and accepting(trace[-1]):
+                hit = config.round
+            else:
+                hit = None
+            if hit is not None:
+                results[p] = RunResult(Verdict.ACCEPTED, hit, pending.pop(p))
+        if not pending:
+            break
         progressed = False
-        if rounds_left > 0:
+        if config.round < max_rounds:
             config = step(automaton, model, config)
-            trace.append(config.states[point])
-            rounds_left -= 1
+            for p, trace in pending.items():
+                trace.append(config.states[p])
             progressed = True
-        if not enum_done and pulled < enum_budget:
+        if stream_open and pulled < enum_budget:
             try:
                 enumerated.add(next(iterator))
                 pulled += 1
                 progressed = True
             except StopIteration:
-                enum_done = True
+                stream_open = False
         if not progressed:
             break
-    return RunResult(Verdict.NOT_WITHIN_BUDGET, None, trace)
+    for p, trace in pending.items():
+        results[p] = RunResult(Verdict.NOT_WITHIN_BUDGET, None, trace, stream_open)
+    return results
+
+
+def run(automaton, pm, max_rounds, enum_budget=10000):
+    """Run at the pointed model; acceptance is a budget-relative semidecision.
+
+    This is :func:`run_points` at the one point ``pm.point``.
+    """
+    return run_points(automaton, pm.model, (pm.point,), max_rounds, enum_budget)[pm.point]
 
 
 # -- the counting multichannel type automaton ------------------------------

@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success/true, 1 false/not-accepted, 2 usage error, 3 input
-error, 4 budget reached without a verdict.
+error, 4 budget reached without a verdict, 5 internal error (an unexpected
+exception; the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from . import gfp as gfp_mod
 from . import grid as grid_mod
@@ -26,6 +28,7 @@ EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_BUDGET = 4
+EXIT_INTERNAL = 5
 
 
 def _read(path):
@@ -263,10 +266,15 @@ def cmd_roundtrip(args):
     report = translate_mod.roundtrip_check(formula, vocab, pointed, budgets)
     lines = [f"models: {report.models_checked}",
              f"disagreements: {len(report.disagreements)}"]
+    if report.budget_reached:
+        lines.append("budget_reached")
     _emit(args, lines, {
         "models": report.models_checked,
         "disagreements": len(report.disagreements),
+        "budget_reached": report.budget_reached,
     })
+    if report.budget_reached:
+        return EXIT_BUDGET
     return EXIT_TRUE if report.agreed else EXIT_FALSE
 
 
@@ -410,6 +418,10 @@ def main(argv=None):
     except GradedWLError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception:
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -447,14 +447,3 @@ def conjoin_disjunctions(d1, d2):
     if d1.enumerator is not None or d2.enumerator is not None:
         raise ValueError("conjoin_disjunctions requires finite disjunctions")
     return Disjunction.of(And(f, g) for f in d1.disjuncts for g in d2.disjuncts)
-
-
-def equivalent_on(f, g, pointed_models):
-    """Whether no model in the stream distinguishes the two formulas.
-
-    Returns ``(True, None)`` or ``(False, first_counterexample)``.
-    """
-    for pm in pointed_models:
-        if check(pm, f) != check(pm, g):
-            return False, pm
-    return True, None

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .automaton import run, type_automaton
+from .automaton import run, run_points, type_automaton
 from .formulas import Disjunction, FormulaEvaluator, check, modal_depth, validate_vocabulary
 from . import typedesc
 
@@ -203,15 +203,39 @@ class RoundtripReport:
     formula: object
     models_checked: int = 0
     disagreements: list = field(default_factory=list)
+    budget_reached: bool = False
 
     @property
     def agreed(self):
         return not self.disagreements
 
 
+def _model_groups(pointed_models):
+    """Runs of consecutive pointed models that share one model object."""
+    group = []
+    for pm in pointed_models:
+        if group and pm.model is not group[0].model:
+            yield group
+            group = []
+        group.append(pm)
+    if group:
+        yield group
+
+
 def roundtrip_check(formula, vocab, pointed_models, budgets, table=None):
     """Cross-validate direct model checking, automaton acceptance and the
-    translated-back type disjunction on a stream of pointed models."""
+    translated-back type disjunction on a stream of pointed models.
+
+    Consecutive pointed models that share one model object form a group.
+    Each group is checked once: one formula evaluator serves the formula and
+    every back formula, and one automaton run serves every point.  Each
+    point is still counted and reported on its own, in stream order.
+
+    ``budget_reached`` is set when an item budget truncated the forward or
+    the back stream, when a run stopped on its enumeration budget, or when
+    ``budgets.max_rounds`` is below the formula's modal depth; a
+    disagreement is then not evidence of a faulty translation.
+    """
     table = typedesc.DEFAULT_TABLE if table is None else table
     aut = disjunction_to_automaton(
         Disjunction.of([formula]), vocab, budgets.max_degree, table, budgets.max_items
@@ -222,14 +246,27 @@ def roundtrip_check(formula, vocab, pointed_models, budgets, table=None):
     back_formulas = [typedesc.render_type(t, table) for t in back]
     depth = modal_depth(formula)
     report = RoundtripReport(formula)
-    for pm in pointed_models:
-        by_check = check(pm, formula)
-        by_automaton = run(aut, pm, max_rounds=depth).accepted
-        evaluator = FormulaEvaluator(pm.model)
-        by_disjunction = any(evaluator.holds(pm.point, f) for f in back_formulas)
-        report.models_checked += 1
-        if not (by_check == by_automaton == by_disjunction):
-            report.disagreements.append(
-                RoundtripDisagreement(pm, by_check, by_automaton, by_disjunction)
-            )
+    report.budget_reached = back.budget_reached or budgets.max_rounds < depth
+    if budgets.max_items is not None:
+        forward = formula_to_type_disjunction(
+            formula, vocab, budgets.max_degree, table, budgets.max_items
+        )
+        report.budget_reached |= any(e is BUDGET_REACHED for e in forward.events())
+    for group in _model_groups(pointed_models):
+        model = group[0].model
+        validate_vocabulary(formula, model.vocab)
+        evaluator = FormulaEvaluator(model)
+        satisfying = evaluator.nodes(formula)
+        runs = run_points(aut, model, [pm.point for pm in group], max_rounds=depth)
+        for pm in group:
+            by_check = pm.point in satisfying
+            result = runs[pm.point]
+            by_automaton = result.accepted
+            by_disjunction = any(evaluator.holds(pm.point, f) for f in back_formulas)
+            report.budget_reached |= result.enum_budget_reached
+            report.models_checked += 1
+            if not (by_check == by_automaton == by_disjunction):
+                report.disagreements.append(
+                    RoundtripDisagreement(pm, by_check, by_automaton, by_disjunction)
+                )
     return report

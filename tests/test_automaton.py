@@ -6,6 +6,7 @@ from gradedwl import (
     AutomatonSpec,
     GridSpec,
     KripkeModel,
+    ModelDomainError,
     Multiset,
     TransitionError,
     Verdict,
@@ -18,6 +19,8 @@ from gradedwl import (
     type_automaton,
     type_epsilon,
 )
+from gradedwl.automaton import run_points
+from gradedwl.formats import parse_automaton
 
 from conftest import V0, V1, cycle, model, path3_undirected, pointed
 
@@ -164,6 +167,126 @@ class TestRun:
         )
         res = run(aut, pointed(model([0]), 0), max_rounds=10)
         assert res.accepted and res.round == 1
+
+
+def run_alone(automaton, pm, max_rounds, enum_budget):
+    """The single-point run loop, kept as the reference for run_points:
+    ``(verdict, round, trace, enum_budget_reached)``."""
+    model, point = pm.model, pm.point
+    config = initial_configuration(automaton, model)
+    trace = [config.states[point]]
+
+    if automaton.accepting_enumerator is None:
+        accepting = automaton.accepting
+        if accepting is not None and accepting(trace[0]):
+            return Verdict.ACCEPTED, 0, trace, False
+        for _ in range(max_rounds):
+            config = step(automaton, model, config)
+            trace.append(config.states[point])
+            if accepting is not None and accepting(trace[-1]):
+                return Verdict.ACCEPTED, config.round, trace, False
+        return Verdict.NOT_WITHIN_BUDGET, None, trace, False
+
+    enumerated = set()
+    iterator = iter(automaton.accepting_enumerator())
+    pulled = 0
+    rounds_left = max_rounds
+    enum_done = False
+    while True:
+        for t, s in enumerate(trace):
+            if s in enumerated:
+                return Verdict.ACCEPTED, t, trace, False
+        progressed = False
+        if rounds_left > 0:
+            config = step(automaton, model, config)
+            trace.append(config.states[point])
+            rounds_left -= 1
+            progressed = True
+        if not enum_done and pulled < enum_budget:
+            try:
+                enumerated.add(next(iterator))
+                pulled += 1
+                progressed = True
+            except StopIteration:
+                enum_done = True
+        if not progressed:
+            break
+    return Verdict.NOT_WITHIN_BUDGET, None, trace, not enum_done
+
+
+def _sum_transition(multisets, prev):
+    return prev + sum(multisets[0])
+
+
+SEES_P0 = """gradedwl-automaton v1
+props 0
+channels 1
+states yes no ok
+init {p0} yes
+init default no
+rule yes else -> yes
+rule no [1: yes>=1] -> ok
+rule no [1: ok>=1] -> ok
+rule no else -> no
+rule ok else -> ok
+accept ok
+"""
+
+
+class TestRunPoints:
+    AUTOMATA = {
+        "predicate": AutomatonSpec(V1, lambda atoms: len(atoms), _sum_transition,
+                                   accepting=lambda s: s >= 3),
+        # the enumeration order makes the first discovered round differ from
+        # the earliest accepting round, and a repeated item spends budget
+        "enumerator": AutomatonSpec(V1, lambda atoms: len(atoms), _sum_transition,
+                                    accepting_enumerator=lambda: iter([4, 2, 4, 7, 1, 3])),
+        "declarative": parse_automaton(SEES_P0),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(AUTOMATA))
+    def test_every_point_equals_a_run_alone(self, kind):
+        aut = self.AUTOMATA[kind]
+        grid = itertools.chain(
+            gen_grid(GridSpec(max_nodes=2, max_degree=2, props=1, exhaustive=True)),
+            itertools.islice(
+                gen_grid(GridSpec(max_nodes=3, max_degree=2, props=1, exhaustive=True)),
+                0, None, 28),
+        )
+        for m in grid:
+            for max_rounds in range(6):
+                for budget in (0, 1, 2, 10000):
+                    results = run_points(aut, m, m.domain, max_rounds, budget)
+                    assert set(results) == set(m.domain)
+                    for w in m.domain:
+                        got = results[w]
+                        alone = run(aut, pointed(m, w), max_rounds, budget)
+                        assert got == alone
+                        expected = run_alone(aut, pointed(m, w), max_rounds, budget)
+                        assert (got.verdict, got.round, got.trace,
+                                got.enum_budget_reached) == expected
+
+    def test_stops_stepping_once_every_point_has_a_verdict(self):
+        steps = []
+
+        def delta(multisets, prev):
+            steps.append(prev)
+            return prev + 1
+
+        aut = AutomatonSpec(V0, lambda atoms: 0, delta, accepting=lambda s: s >= 2)
+        m = model([0, 1, 2], [(1, 0, 1)])
+        results = run_points(aut, m, [0, 2], max_rounds=9)
+        assert {w: r.round for w, r in results.items()} == {0: 2, 2: 2}
+        assert len(steps) == 2 * len(m.domain)
+
+    def test_repeated_points_share_one_result(self):
+        m = model([0, 1], [(1, 0, 1)])
+        results = run_points(degree_automaton(), m, [1, 1, 0], max_rounds=2)
+        assert sorted(results) == [0, 1]
+
+    def test_point_outside_domain(self):
+        with pytest.raises(ModelDomainError):
+            run_points(degree_automaton(), model([0]), [0, 5], max_rounds=1)
 
 
 class TestTypeAutomaton:

@@ -87,6 +87,11 @@ class TestCheck:
     def test_bad_point_exit_three(self, chain):
         assert main(["check", chain, "9", "T"]) == 3
 
+    def test_stray_exception_is_internal_error(self, chain, capsys):
+        # the parser recurses once per negation, past Python's stack limit
+        assert main(["check", chain, "0", "~" * 5000 + "T"]) == 5
+        assert capsys.readouterr().err.startswith("internal error:")
+
     def test_usage_error_exit_two(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["check"])
@@ -228,6 +233,17 @@ class TestRoundtrip:
         payload = json.loads(capsys.readouterr().out)
         assert payload["disagreements"] == 0
         assert payload["models"] > 0
+        assert payload["budget_reached"] is False
+
+    @pytest.mark.parametrize("argv", [
+        ["<1:1>T", "--max-nodes", "2", "--exhaustive", "--max-items", "1"],
+        ["<1:1><1:1><1:1>T", "--max-nodes", "2", "--exhaustive"],
+    ], ids=["max-items", "max-rounds-below-depth"])
+    def test_spent_budget_exits_four(self, argv, capsys):
+        assert main(["roundtrip", *argv]) == 4
+        assert capsys.readouterr().out.splitlines()[-1] == "budget_reached"
+        assert main(["roundtrip", *argv, "--json"]) == 4
+        assert json.loads(capsys.readouterr().out)["budget_reached"] is True
 
 
 class TestGen:

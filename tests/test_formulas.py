@@ -16,7 +16,6 @@ from gradedwl import (
     check,
     check_disjunction,
     conjoin_disjunctions,
-    equivalent_on,
     modal_depth,
     parse,
     print_formula,
@@ -255,30 +254,6 @@ class TestConjoinDisjunctions:
             rhs = (check_disjunction(pm, d1, 100).holds
                    and check_disjunction(pm, d2, 100).holds)
             assert lhs == rhs
-
-
-class TestEquivalentOn:
-    def single_node_stream(self):
-        for bits in [set(), {0}]:
-            yield pointed(KripkeModel([0], V1, [], {p: [0] for p in bits}), 0)
-
-    def test_sugar_equivalence(self):
-        f = parse("<1:=1>T", V0)
-        g = And(Diamond(1, 1, TOP), Not(Diamond(1, 2, TOP)))
-        ok, witness = equivalent_on(f, g, [pointed(model([0, 1], [(1, 0, 1)]), 0)])
-        assert ok and witness is None
-
-    def test_counterexample_found(self):
-        ok, witness = equivalent_on(Prop(0), Not(Prop(0)), self.single_node_stream())
-        assert not ok and witness is not None
-
-    def test_graded_counterexample(self):
-        m = model([0, 1], [(1, 0, 1)])
-        ok, witness = equivalent_on(
-            Diamond(1, 1, TOP), Diamond(1, 2, TOP), [pointed(m, 0)]
-        )
-        assert not ok
-        assert witness.point == 0
 
 
 def test_nonclosure_regression():

@@ -10,16 +10,21 @@ from gradedwl import (
     Budgets,
     GridSpec,
     BudgetedEnumerator,
+    InternTable,
+    KripkeModel,
     automaton_to_disjunction,
     check,
     disjunction_to_automaton,
     formula_to_type_disjunction,
     gen_grid,
+    modal_depth,
     parse,
+    render_type,
     roundtrip_check,
     run,
     serialize_type,
 )
+from gradedwl.formulas import FormulaEvaluator
 from gradedwl.translate import BUDGET_REACHED, diagonal
 
 from conftest import V0, V1, model, pointed
@@ -200,6 +205,92 @@ class TestRoundtrip:
         aut = disjunction_to_automaton(Disjunction.of([g]), V0, 2)
         pm = pointed(model([0, 1], [(1, 0, 1)]), 0)
         assert check(pm, f) != run(aut, pm, max_rounds=1).accepted
+
+
+def roundtrip_per_point(formula, vocab, pointed_models, budgets, table):
+    """The roundtrip check written as one evaluator and one run per point:
+    ``(models_checked, [(pm, by_check, by_automaton, by_disjunction)])``."""
+    aut = disjunction_to_automaton(
+        Disjunction.of([formula]), vocab, budgets.max_degree, table, budgets.max_items
+    )
+    back = automaton_to_disjunction(
+        aut, vocab, budgets.max_rounds, budgets.max_degree, table, budgets.max_items
+    )
+    back_formulas = [render_type(t, table) for t in back]
+    checked, disagreements = 0, []
+    for pm in pointed_models:
+        by_check = check(pm, formula)
+        by_automaton = run(aut, pm, max_rounds=modal_depth(formula)).accepted
+        evaluator = FormulaEvaluator(pm.model)
+        by_disjunction = any(evaluator.holds(pm.point, f) for f in back_formulas)
+        checked += 1
+        if not (by_check == by_automaton == by_disjunction):
+            disagreements.append((pm, by_check, by_automaton, by_disjunction))
+    return checked, disagreements
+
+
+class TestRoundtripPerModel:
+    """``roundtrip_check`` works per model; it must report what the check
+    per point reports, on the caller's objects and in stream order."""
+
+    def grid(self, vocab, nodes, degree):
+        return list(gen_grid(GridSpec(max_nodes=nodes, max_degree=degree,
+                                      props=len(vocab.props), exhaustive=True)))
+
+    def compare(self, text, vocab, stream, budgets, same_objects=True):
+        formula = parse(text, vocab)
+        report = roundtrip_check(formula, vocab, iter(stream()), budgets, InternTable())
+        checked, expected = roundtrip_per_point(formula, vocab, iter(stream()), budgets,
+                                                InternTable())
+        got = [(d.pointed_model, d.by_check, d.by_automaton, d.by_disjunction)
+               for d in report.disagreements]
+        assert report.models_checked == checked
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            if same_objects:
+                assert g[0] is e[0]
+            else:
+                assert (g[0].model.edge_triples(), g[0].point) == \
+                    (e[0].model.edge_triples(), e[0].point)
+            assert g[1:] == e[1:]
+        return report
+
+    def test_agreeing_formula(self):
+        pms = [pointed(m, w) for m in self.grid(V1, 3, 1)[::4] for w in m.domain]
+        report = self.compare("(<1:1>p0 | <1:2>~p0)", V1, lambda: pms,
+                              Budgets(max_degree=2, max_rounds=1))
+        assert report.agreed and not report.budget_reached
+        assert report.models_checked == len(pms)
+
+    def test_item_budget_with_disagreements(self):
+        pms = [pointed(m, w) for m in self.grid(V0, 2, 2) for w in m.domain]
+        report = self.compare("<1:1>T", V0, lambda: pms,
+                              Budgets(max_degree=2, max_items=1, max_rounds=1))
+        assert report.disagreements and report.budget_reached
+
+    def test_alternating_models_and_repeated_points(self):
+        models = [m for m in self.grid(V0, 3, 2) if len(m.domain) == 3][::6]
+        pms = []
+        for a, b in zip(models[::2], models[1::2]):
+            for w in a.domain:
+                pms += [pointed(a, w), pointed(b, w)]
+            pms += [pms[-1], pms[-1], pointed(b, 0)]
+        report = self.compare("<1:1><1:1>T", V0, lambda: pms,
+                              Budgets(max_degree=2, max_items=3, max_rounds=2))
+        assert report.disagreements
+
+    def test_fresh_model_for_every_point(self):
+        grid = self.grid(V0, 3, 2)[::8]
+
+        def stream():
+            for m in grid:
+                for w in m.domain:
+                    yield pointed(KripkeModel(m.domain, V0, m.edge_triples()), w)
+
+        report = self.compare("<1:1>T", V0, stream,
+                              Budgets(max_degree=2, max_items=1, max_rounds=1),
+                              same_objects=False)
+        assert report.disagreements
 
 
 def test_serializations_of_forward_stream_stable():
